@@ -40,7 +40,7 @@ from bisect import insort
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     # annotation-only crossings, declared as ports in layers.toml: the
@@ -1161,6 +1161,13 @@ class CausalProtocol(abc.ABC):
         clocks); the catch-up loop then relies on transport drain alone.
         """
         return None
+
+    def last_write(self, var: int) -> Any:
+        """``LastWriteOn<var>`` as this site would ship it, or None when
+        no write to ``var`` was applied here.  Every concrete protocol
+        keeps these in a ``last_write_on`` dict; Opt-Track finishes
+        pruning its entries on the way out."""
+        return self.last_write_on.get(var)  # type: ignore[attr-defined]
 
     def _snapshot_extra(self) -> dict:
         """Protocol-specific clocks/logs for :meth:`snapshot`."""

@@ -29,22 +29,22 @@ a singleton after every local write.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 __all__ = ["PiggybackEntry", "OptTrackLog", "TupleLog"]
 
 
-@dataclass(frozen=True, slots=True)
-class PiggybackEntry:
-    """Immutable snapshot of one log record as shipped inside a message."""
+class PiggybackEntry(NamedTuple):
+    """Immutable snapshot of one log record as shipped inside a message.
+
+    A named tuple rather than a frozen dataclass: a multicast builds one
+    entry per shipped record, and tuple construction costs about a third
+    of the dataclass's attribute-by-attribute ``__init__``.
+    """
 
     writer: int
     clock: int
     dests: frozenset[int]
-
-    def dest_count(self) -> int:
-        return len(self.dests)
 
 
 class OptTrackLog:
@@ -227,7 +227,7 @@ class OptTrackLog:
     # protocol operations
     # ------------------------------------------------------------------
     def piggyback_views(
-        self, write_dests: frozenset[int]
+        self, write_dests: frozenset[int], *, strip_log: bool = False
     ) -> tuple[dict[int, tuple[PiggybackEntry, ...]], tuple[PiggybackEntry, ...]]:
         """All per-destination piggyback views for one multicast, at once.
 
@@ -250,9 +250,16 @@ class OptTrackLog:
         Returns ``(views, stripped)`` where ``stripped`` is the shared
         fully-stripped view — also exactly the log to store alongside a
         local apply.
+
+        With ``strip_log`` the same pass also applies condition 2 to
+        this log, leaving it as :meth:`remove_dests` ``(write_dests)``
+        would: the multicast's own log update, done while each touched
+        record is at hand, and its shipped view kept as the record's
+        interned frozen view.
         """
         newest = self._newest
         frozen = self._frozen
+        empty = self._empty_keys
         stripped: list[PiggybackEntry] = []
         append = stripped.append
         dest_order = sorted(write_dests)
@@ -275,10 +282,20 @@ class OptTrackLog:
                 # it — those copies are patched in per destination below
                 for d in sorted(rec):  # rec == rec & write_dests here
                     containing[d].append(key)
+                if strip_log:
+                    rec.clear()
+                    frozen.pop(key, None)
+                    empty[key] = None
                 continue
-            append(PiggybackEntry(j, c, frozenset(kept)))
+            e = PiggybackEntry(j, c, frozenset(kept))
+            append(e)
             for d in sorted(rec & write_dests):
                 containing[d].append(len(stripped) - 1)
+            if strip_log:
+                rec -= write_dests
+                frozen[key] = e
+                if not rec:
+                    empty[key] = None
         base = tuple(stripped)
         views: dict[int, tuple[PiggybackEntry, ...]] = {}
         for d in dest_order:

@@ -105,9 +105,9 @@ class FullTrackRM:
 class OptTrackSM:
     """SM(x_h, v, site, clock, L_w): update multicast with a pruned log.
 
-    ``log`` is the per-destination piggyback view produced by
-    :meth:`~repro.core.log.OptTrackLog.piggyback_for` — different copies
-    of the same write may carry differently pruned logs.
+    ``log`` is this destination's view from
+    :meth:`~repro.core.log.OptTrackLog.piggyback_views` — different
+    copies of the same write may carry differently pruned logs.
     """
 
     var: int

@@ -38,7 +38,25 @@ from .base import CausalProtocol, ProtocolContext, register_protocol
 from .log import OptTrackLog, PiggybackEntry
 from .messages import FetchMessage, OptTrackRM, OptTrackSM
 
-__all__ = ["OptTrackProtocol"]
+__all__ = ["OptTrackProtocol", "strip_site"]
+
+
+def strip_site(
+    log: tuple[PiggybackEntry, ...], site: int
+) -> tuple[PiggybackEntry, ...]:
+    """``log`` with ``site`` removed from every destination set.
+
+    Only records naming ``site`` are rebuilt; the rest of the immutable
+    log is shared, and ``log`` itself is returned when none names it.
+    """
+    site_s = {site}
+    rebuilt: Optional[list[PiggybackEntry]] = None
+    for i, e in enumerate(log):
+        if site in e.dests:
+            if rebuilt is None:
+                rebuilt = list(log)
+            rebuilt[i] = PiggybackEntry(e.writer, e.clock, e.dests - site_s)
+    return log if rebuilt is None else tuple(rebuilt)
 
 
 @register_protocol
@@ -62,6 +80,10 @@ class OptTrackProtocol(CausalProtocol):
         self.last_write_on: dict[
             int, tuple[WriteId, frozenset[int], tuple[PiggybackEntry, ...]]
         ] = {}
+        # vars whose stored piggybacked log came in on an SM and may
+        # still name this site: implicit condition 1 is applied lazily,
+        # by last_write(), the first time the log is shipped on
+        self._unstripped: set[int] = set()
         # hot-path set constants and the (var, writer) -> dests-minus-
         # writer memo used on every SM apply
         self._me_set = frozenset((self.site,))
@@ -92,9 +114,11 @@ class OptTrackProtocol(CausalProtocol):
         # pre-write log; each copy keeps its own receiver in the
         # destination lists and drops the other co-destinations
         # (implicit condition 2).  The fully stripped shared view is also
-        # the log stored alongside a local apply.
+        # the log stored alongside a local apply.  The same pass strips
+        # the new write's destinations from every local record
+        # (condition 2 at home); nothing below reads the pre-write log.
         if self.prune_on_send:
-            views, stored_log = self.log.piggyback_views(dests)
+            views, stored_log = self.log.piggyback_views(dests, strip_log=True)
 
             def make_sm(d: int) -> OptTrackSM:
                 return OptTrackSM(var=var, value=value, write_id=wid,
@@ -111,23 +135,24 @@ class OptTrackProtocol(CausalProtocol):
         # placement.replicas() is exactly sorted(dests), pre-sorted
         self._multicast(ctx.placement.replicas(var), make_sm, MessageKind.SM)
 
-        # Local log update: strip the new write's destinations from every
-        # record (condition 2), add the record for the new write itself
+        # Local log update: add the record for the new write itself
         # (excluding self: applying locally is immediate), then purge.
-        if self.prune_on_send:
-            self.log.remove_dests(dests)
         self.log.insert(self.site, self.clock, dests - self._me_set)
         self.log.purge(self_site=self.site, applied=self.applied)
         ctx.collector.record_log_size(len(self.log))
         ctx.collector.record_dest_lists(self.log.dest_counts())
 
         if self.site in dests:
+            # stored by the writer itself: the receiver strip (implicit
+            # condition 1) applies only to logs that came in on an SM
             self._apply_value(var, value, wid, dests, stored_log)
+            self._unstripped.discard(var)
             self._drain()
         return wid
 
     def _local_read(self, var: int) -> tuple[object, Optional[WriteId]]:
         slot = self.ctx.store.read(var)
+        # the stored log as received, unstripped: see last_write()
         stored = self.last_write_on.get(var)
         if stored is not None:
             wid, wdests, piggy = stored
@@ -184,20 +209,11 @@ class OptTrackProtocol(CausalProtocol):
                 self.ctx.placement.replica_set(message.var) - {wid.site}
             )
         # Implicit condition 1: "this site is a destination" is dead
-        # information from this apply onward — strip self before storing.
-        # Only records naming this site need rebuilding; the rest of the
-        # (immutable) piggybacked log is shared as-is.
-        me = self.site
-        me_s = {me}
-        log = message.log
-        rebuilt: Optional[list[PiggybackEntry]] = None
-        for i, e in enumerate(log):
-            if me in e.dests:
-                if rebuilt is None:
-                    rebuilt = list(log)
-                rebuilt[i] = PiggybackEntry(e.writer, e.clock, e.dests - me_s)
-        stored = log if rebuilt is None else tuple(rebuilt)
-        self._apply_value(message.var, message.value, wid, dests, stored)
+        # information from this apply onward.  The log is stored as
+        # received and stripped by last_write() only when it is shipped
+        # on — most stored logs are overwritten before that happens.
+        self._apply_value(message.var, message.value, wid, dests, message.log)
+        self._unstripped.add(message.var)
 
     def _apply_value(
         self,
@@ -219,9 +235,32 @@ class OptTrackProtocol(CausalProtocol):
         if ctx.history.enabled:
             ctx.history.record_apply(time=ctx.clock.now, site=self.site, var=var, write_id=wid)
 
+    def last_write(
+        self, var: int
+    ) -> Optional[tuple[WriteId, frozenset[int], tuple[PiggybackEntry, ...]]]:
+        """LastWriteOn<var> with implicit condition 1 applied.
+
+        Every log that leaves this site — in an RM, a checkpoint, or a
+        leave handoff — is read through here, so none names this site.
+        The stripped log replaces the stored one: each is rebuilt once.
+
+        A local read merges the stored log unstripped, and the result is
+        the same: every record naming this site in a received log was
+        applied here before the SM activated, so the purge that ends
+        MERGE drops this site from each of them (condition 1).
+        """
+        stored = self.last_write_on.get(var)
+        if stored is not None and var in self._unstripped:
+            self._unstripped.discard(var)
+            wid, wdests, log = stored
+            stripped = strip_site(log, self.site)
+            if stripped is not log:
+                stored = self.last_write_on[var] = (wid, wdests, stripped)
+        return stored
+
     def _serve_fetch(self, src: int, message: FetchMessage) -> None:
         slot = self.ctx.store.read(message.var)
-        stored = self.last_write_on.get(message.var)
+        stored = self.last_write(message.var)
         if stored is None:
             wid: Optional[WriteId] = None
             rm_log: tuple[PiggybackEntry, ...] = ()
@@ -259,6 +298,9 @@ class OptTrackProtocol(CausalProtocol):
     # crash-recovery hooks
     # ------------------------------------------------------------------
     def _snapshot_extra(self) -> dict:
+        # the blob holds stripped logs only, so restore starts clean
+        for var in sorted(self._unstripped):
+            self.last_write(var)
         return {
             "clock": self.clock,
             "applied": list(self.applied),
@@ -272,6 +314,7 @@ class OptTrackProtocol(CausalProtocol):
         self.applied = [int(c) for c in extra["applied"]]
         self.log = extra["log"].copy()
         self.last_write_on = dict(extra["last_write_on"])
+        self._unstripped = set()
 
     def knows_write(self, wid: WriteId) -> Optional[bool]:
         # Apply_i[j] is the highest write clock of ap_j applied here and

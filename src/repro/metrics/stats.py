@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-__all__ = ["RunningStat", "Summary", "summarize", "percentile", "RESERVOIR_CAPACITY"]
+__all__ = ["Moments", "RunningStat", "Summary", "summarize", "percentile", "RESERVOIR_CAPACITY"]
 
 #: samples kept per stream for percentile estimation; below this size the
 #: reservoir holds every sample and percentiles are exact
@@ -20,14 +20,12 @@ _RESERVOIR_SEED = 0x5EED
 
 
 @dataclass(slots=True)
-class RunningStat:
-    """Streaming count/mean/variance/min/max (Welford's algorithm).
+class Moments:
+    """Streaming count/mean/variance/min/max/total (Welford's algorithm).
 
-    O(1) memory for the moments; used for per-message-size statistics
-    where a simulation can generate hundreds of thousands of samples.
-    A bounded reservoir (Vitter's algorithm R, deterministic seed) rides
-    along so every consumer also gets p50/p95/p99 estimates — exact
-    whenever the stream fits in :data:`RESERVOIR_CAPACITY`.
+    O(1) memory and no sampling: the stream type for hot counters whose
+    percentiles nobody reads (message sizes, log sizes).  Streams that
+    report percentiles use :class:`RunningStat`, which adds a reservoir.
     """
 
     count: int = 0
@@ -36,8 +34,6 @@ class RunningStat:
     minimum: float = math.inf
     maximum: float = -math.inf
     total: float = 0.0
-    _reservoir: list = field(default_factory=list, repr=False)
-    _sampler: Optional[random.Random] = field(default=None, repr=False, compare=False)
 
     def add(self, x: float) -> None:
         self.count += 1
@@ -49,14 +45,6 @@ class RunningStat:
             self.minimum = x
         if x > self.maximum:
             self.maximum = x
-        if len(self._reservoir) < RESERVOIR_CAPACITY:
-            self._reservoir.append(x)
-        else:
-            if self._sampler is None:
-                self._sampler = random.Random(_RESERVOIR_SEED)
-            j = self._sampler.randrange(self.count)
-            if j < RESERVOIR_CAPACITY:
-                self._reservoir[j] = x
 
     def extend(self, xs: Iterable[float]) -> None:
         for x in xs:
@@ -65,14 +53,9 @@ class RunningStat:
     def add_many(self, xs: Iterable[float]) -> None:
         """Batched :meth:`add` for hot callers (per-record log metrics).
 
-        State evolution is operation-for-operation identical to repeated
-        ``add`` calls — same arithmetic order, same reservoir RNG draws —
-        so results stay byte-identical; only the per-sample attribute
-        traffic is hoisted out of the loop.  The reservoir index draw
-        inlines ``Random._randbelow_with_getrandbits`` (rejection-sample
-        ``bit_length(count)`` bits until below ``count``) on the same
-        ``Random`` instance, so the underlying getrandbits stream — and
-        with it every reservoir — is unchanged.
+        Operation-for-operation identical to repeated ``add`` calls —
+        same arithmetic order — so results stay byte-identical; only the
+        per-sample attribute traffic is hoisted out of the loop.
         """
         count = self.count
         total = self.total
@@ -80,11 +63,6 @@ class RunningStat:
         m2 = self._m2
         minimum = self.minimum
         maximum = self.maximum
-        reservoir = self._reservoir
-        size = len(reservoir)
-        sampler = self._sampler
-        getrandbits = None if sampler is None else sampler.getrandbits
-        append = reservoir.append
         for x in xs:
             count += 1
             total += x
@@ -95,26 +73,12 @@ class RunningStat:
                 minimum = x
             if x > maximum:
                 maximum = x
-            if size < RESERVOIR_CAPACITY:
-                append(x)
-                size += 1
-            else:
-                if getrandbits is None:
-                    sampler = random.Random(_RESERVOIR_SEED)
-                    getrandbits = sampler.getrandbits
-                k = count.bit_length()
-                j = getrandbits(k)
-                while j >= count:
-                    j = getrandbits(k)
-                if j < RESERVOIR_CAPACITY:
-                    reservoir[j] = x
         self.count = count
         self.total = total
         self.mean = mean
         self._m2 = m2
         self.minimum = minimum
         self.maximum = maximum
-        self._sampler = sampler
 
     @property
     def variance(self) -> float:
@@ -124,6 +88,57 @@ class RunningStat:
     @property
     def stdev(self) -> float:
         return math.sqrt(self.variance)
+
+    def merge(self, other: "Moments") -> "Moments":
+        """Combine two streams (Chan et al. parallel variance formula)."""
+        if other.count == 0:
+            return self
+        if self.count == 0:
+            self.count = other.count
+            self.mean = other.mean
+            self._m2 = other._m2
+            self.minimum = other.minimum
+            self.maximum = other.maximum
+            self.total = other.total
+            return self
+        n = self.count + other.count
+        delta = other.mean - self.mean
+        self._m2 += other._m2 + delta * delta * self.count * other.count / n
+        self.mean = (self.mean * self.count + other.mean * other.count) / n
+        self.count = n
+        self.total += other.total
+        self.minimum = min(self.minimum, other.minimum)
+        self.maximum = max(self.maximum, other.maximum)
+        return self
+
+
+@dataclass(slots=True)
+class RunningStat(Moments):
+    """:class:`Moments` plus a bounded reservoir for percentiles.
+
+    The reservoir (Vitter's algorithm R, deterministic seed) gives every
+    consumer p50/p95/p99 estimates — exact whenever the stream fits in
+    :data:`RESERVOIR_CAPACITY`.
+    """
+
+    _reservoir: list = field(default_factory=list, repr=False)
+    _sampler: Optional[random.Random] = field(default=None, repr=False, compare=False)
+
+    def add(self, x: float) -> None:
+        Moments.add(self, x)
+        if len(self._reservoir) < RESERVOIR_CAPACITY:
+            self._reservoir.append(x)
+        else:
+            if self._sampler is None:
+                self._sampler = random.Random(_RESERVOIR_SEED)
+            j = self._sampler.randrange(self.count)
+            if j < RESERVOIR_CAPACITY:
+                self._reservoir[j] = x
+
+    def add_many(self, xs: Iterable[float]) -> None:
+        """Batched :meth:`add` (no hot caller batches into a sampled stream)."""
+        for x in xs:
+            self.add(x)
 
     def percentile(self, q: float) -> float:
         """Percentile estimate from the reservoir (0.0 for an empty stream).
@@ -158,8 +173,8 @@ class RunningStat:
             "p99": percentile(data, 99),
         }
 
-    def merge(self, other: "RunningStat") -> "RunningStat":
-        """Combine two streams (Chan et al. parallel variance formula).
+    def merge(self, other: "RunningStat") -> "RunningStat":  # type: ignore[override]
+        """Combine two streams: :meth:`Moments.merge` for the moments.
 
         Reservoirs are combined by count-weighted deterministic
         subsampling, keeping the merged reservoir a uniform-ish sample
@@ -168,25 +183,11 @@ class RunningStat:
         if other.count == 0:
             return self
         if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self._m2 = other._m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            self.total = other.total
-            self._reservoir = list(other._reservoir)
-            self._sampler = None
-            return self
-        merged_pool = self._merged_reservoir(other)
-        n = self.count + other.count
-        delta = other.mean - self.mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / n
-        self.mean = (self.mean * self.count + other.mean * other.count) / n
-        self.count = n
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        self._reservoir = merged_pool
+            pool = list(other._reservoir)
+        else:
+            pool = self._merged_reservoir(other)
+        Moments.merge(self, other)
+        self._reservoir = pool
         self._sampler = None
         return self
 
@@ -246,7 +247,7 @@ def summarize(xs: Iterable[float]) -> Summary:
     data = sorted(float(x) for x in xs)
     if not data:
         return Summary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    rs = RunningStat()
+    rs = Moments()
     rs.extend(data)
     return Summary(
         count=rs.count,

@@ -682,7 +682,7 @@ class ViewManager:
             succ_proto.ctx.store.adopt(
                 var, slot.value, slot.write_id, slot.applied_at
             )
-            meta = victim_proto.last_write_on.get(var)
+            meta = victim_proto.last_write(var)
             if meta is not None:
                 succ_proto.last_write_on[var] = meta
             self.stats.handoffs += 1
